@@ -9,13 +9,21 @@
 // use the standard time-slot/Fenwick-tree reformulation: each line
 // holds the (monotonically increasing) time slot of its last reference;
 // the stack depth of a reference equals the number of lines whose slot
-// is more recent — a prefix-sum query, O(log n). Slots are compacted
-// when the slot array outgrows twice the number of live lines, keeping
-// memory proportional to the distinct-line count.
+// is more recent — a prefix-sum query, O(log n).
+//
+// Representation: a slot-ordered line array (rev) and a liveness bitmap
+// sized with the Fenwick tree, plus a private open-addressed line → slot
+// index. One reference costs one index probe plus the Fenwick walks, and
+// allocates nothing once the arrays have grown to the working set. When
+// the slots outgrow twice the live-line count, compaction walks the live
+// slots in order (which IS recency order), renumbers them densely and
+// rebuilds the tree in O(n) — no sort — keeping memory proportional to
+// the distinct-line count. The capped stack evicts through a cursor on
+// the oldest live slot, which only moves forward between compactions.
 package lrustack
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -25,35 +33,43 @@ import (
 // LRU stack depth").
 const Infinite = int64(^uint64(0) >> 1)
 
+// minSlots is the Fenwick tree length of a fresh stack; every slot array
+// grows on demand from here by doubling.
+const minSlots = 1024
+
 // Stack is an LRU stack with O(log n) depth queries. By default it is
 // unbounded — it tracks every distinct line ever referenced; NewLimited
 // caps the live-line count with LRU eviction.
 type Stack struct {
-	slot map[mem.Line]int64 // line → time slot of last reference
-	// Fenwick tree over slots, 1-based.
-	//emlint:nosnapshot rebuilt from slot by SetState
+	// idx maps each live line to its slot.
+	//emlint:nosnapshot derived: rebuilt from the state's line order by SetState
+	idx lineIndex
+	// Fenwick tree over slots, 1-based; len(tree) is a power of two and
+	// slots 0..len(tree)-2 are usable.
+	//emlint:nosnapshot derived: rebuilt from occ by SetState
 	tree []int64
+	// rev[sl] is the line whose last reference took slot sl; occ has
+	// bit sl set while that line is live (not re-referenced or evicted
+	// since). Both are sized with tree.
+	rev []mem.Line
+	occ []uint64
 	// used is the next free slot (number of slots consumed).
-	//emlint:nosnapshot slots are re-densified to 0..live-1 on restore
 	used int64
-	// live is the number of live (distinct) lines.
-	//emlint:nosnapshot derived: len(slot)
-	live int64
-	// scratch is reused during compaction.
-	//emlint:nosnapshot scratch, no cross-call state
-	scratch []mem.Line
-	limit   int64 // max live lines (0 = unbounded)
-	// rev maps slot → line, maintained only when limited.
-	//emlint:nosnapshot rebuilt from slot by SetState
-	rev     map[int64]mem.Line
+	// low is a lower bound on the oldest live slot: every slot below it
+	// is dead. It only advances between compactions.
+	low     int64
+	live    int64  // number of live (distinct) lines
+	limit   int64  // max live lines (0 = unbounded)
 	dropped uint64 // lines evicted by the cap
 }
 
 // New returns an empty unbounded stack.
 func New() *Stack {
 	return &Stack{
-		slot: make(map[mem.Line]int64),
-		tree: make([]int64, 1024),
+		idx:  newLineIndex(0),
+		tree: make([]int64, minSlots),
+		rev:  make([]mem.Line, minSlots),
+		occ:  make([]uint64, minSlots/64),
 	}
 }
 
@@ -71,14 +87,13 @@ func NewLimited(limit int64) *Stack {
 	s := New()
 	if limit > 0 {
 		s.limit = limit
-		s.rev = make(map[int64]mem.Line)
 	}
 	return s
 }
 
 // add updates the Fenwick tree at slot i (0-based) by delta.
 func (s *Stack) add(i int64, delta int64) {
-	for j := i + 1; j <= int64(len(s.tree)-1); j += j & (-j) {
+	for j := i + 1; j < int64(len(s.tree)); j += j & (-j) {
 		s.tree[j] += delta
 	}
 }
@@ -92,133 +107,134 @@ func (s *Stack) sum(i int64) int64 {
 	return t
 }
 
-// grow ensures capacity for one more slot, compacting or resizing.
+// isLive reports whether slot sl holds a live line.
+func (s *Stack) isLive(sl int64) bool { return s.occ[sl>>6]&(1<<(sl&63)) != 0 }
+
+// kill retires slot sl: its line was re-referenced or evicted.
+func (s *Stack) kill(sl int64) {
+	s.add(sl, -1)
+	s.occ[sl>>6] &^= 1 << (sl & 63)
+}
+
+// grow makes room for one more slot: it compacts when at least half the
+// slots are dead, and otherwise doubles the slot arrays.
+//
+//emlint:coldpath runs once per >= live references; doubling allocates, compaction reuses the arrays
 func (s *Stack) grow() {
-	if s.used+1 < int64(len(s.tree)) {
-		return
-	}
 	if s.used >= 2*s.live && s.live > 0 {
 		s.compact()
 		return
 	}
-	// Double the tree, rebuilding (O(n)); amortised O(log n) per ref.
-	old := s.tree
-	s.tree = make([]int64, 2*len(old))
+	n := 2 * len(s.tree)
+	s.tree = make([]int64, n)
+	s.rev = append(s.rev, make([]mem.Line, n-len(s.rev))...)
+	s.occ = append(s.occ, make([]uint64, n/64-len(s.occ))...)
 	s.rebuild()
 }
 
-// compact reassigns dense slots preserving order, then rebuilds.
+// compact renumbers the live lines to slots 0..live-1, preserving their
+// order, and rebuilds the tree.
+//
+//emlint:coldpath runs once per >= live references; reuses the slot arrays
 func (s *Stack) compact() {
-	// Collect lines ordered by slot. Counting them in slot order via a
-	// scratch array indexed by old slot would need O(used) memory, which
-	// we already have in the tree; simplest is sort-free bucketing:
-	lines := s.scratch[:0]
-	for l := range s.slot {
-		lines = append(lines, l)
+	words := (s.used + 63) >> 6
+	// The in-order walk writes slot k while reading slot sl >= k, so it
+	// can pack rev in place.
+	lines := s.appendLive(s.rev[:0])
+	for k, line := range lines {
+		s.idx.setSlot(line, int64(k))
 	}
-	// insertion-free ordering: sort by slot using a simple slice sort.
-	sortBySlot(lines, s.slot)
-	s.scratch = lines[:0]
-	for i, l := range lines {
-		s.slot[l] = int64(i)
-	}
-	if s.rev != nil {
-		clear(s.rev)
-		for i, l := range lines {
-			s.rev[int64(i)] = l
+	clear(s.occ[:words])
+	s.used = int64(len(lines))
+	s.fillOcc()
+	s.low = 0
+	s.rebuild()
+}
+
+// appendLive appends the live lines to dst in slot order — least
+// recently used first — walking the liveness bitmap a word at a time.
+func (s *Stack) appendLive(dst []mem.Line) []mem.Line {
+	for w := s.low >> 6; w<<6 < s.used; w++ {
+		for b := s.occ[w]; b != 0; b &= b - 1 {
+			dst = append(dst, s.rev[w<<6+int64(bits.TrailingZeros64(b))])
 		}
 	}
-	s.used = int64(len(lines))
-	s.rebuild()
+	return dst
 }
 
-// rebuild zeroes and repopulates the Fenwick tree from the slot map.
+// fillOcc marks slots 0..used-1 live (the dense layout after compaction
+// or restore). The bitmap must be clear beyond them.
+func (s *Stack) fillOcc() {
+	full := s.used >> 6
+	for w := int64(0); w < full; w++ {
+		s.occ[w] = ^uint64(0)
+	}
+	if r := s.used & 63; r != 0 {
+		s.occ[full] = 1<<r - 1
+	}
+}
+
+// rebuild recomputes the Fenwick tree from the liveness bitmap with the
+// O(n) construction: each node adds its leaf, then pushes its total to
+// its parent.
 func (s *Stack) rebuild() {
-	for i := range s.tree {
-		s.tree[i] = 0
+	t := s.tree
+	clear(t)
+	for i := 1; i < len(t); i++ {
+		if s.isLive(int64(i - 1)) {
+			t[i]++
+		}
+		if p := i + i&(-i); p < len(t) {
+			t[p] += t[i]
+		}
 	}
-	for _, sl := range s.slot {
-		s.add(sl, 1)
-	}
-}
-
-// sortBySlot sorts lines ascending by their last-reference slot.
-// Compaction is rare (amortised over ≥ live references), so stdlib sort
-// is fine here.
-func sortBySlot(lines []mem.Line, slot map[mem.Line]int64) {
-	sort.Slice(lines, func(i, j int) bool { return slot[lines[i]] < slot[lines[j]] })
 }
 
 // Ref records a reference to line and returns its stack depth BEFORE the
 // reference: the number of distinct lines referenced since the previous
 // reference to line, or Infinite on first touch. A depth of 0 means line
 // was also the immediately preceding reference.
+//
+//emlint:hotpath
 func (s *Stack) Ref(line mem.Line) int64 {
-	old, seen := s.slot[line]
-	var depth int64
-	if seen {
+	if s.used+1 >= int64(len(s.tree)) {
+		s.grow()
+	}
+	sl := s.used
+	s.used++
+	depth := Infinite
+	if i, seen := s.idx.find(line); seen {
+		old := s.idx.ents[i].slot
 		// lines with slot strictly greater than old
 		depth = s.live - s.sum(old)
-		s.add(old, -1)
-		// Remove the stale mapping before grow(): a rebuild/compaction
-		// inside grow() repopulates the tree from the slot map and must
-		// not resurrect the old slot.
-		delete(s.slot, line)
-		if s.rev != nil {
-			delete(s.rev, old)
-		}
+		s.kill(old)
+		s.idx.ents[i].slot = sl
 	} else {
-		depth = Infinite
+		s.idx.insert(i, line, sl)
 		s.live++
 	}
-	s.grow()
-	s.slot[line] = s.used
-	s.add(s.used, 1)
-	if s.rev != nil {
-		s.rev[s.used] = line
-	}
-	s.used++
+	s.rev[sl] = line
+	s.occ[sl>>6] |= 1 << (sl & 63)
+	s.add(sl, 1)
 	if s.limit > 0 && s.live > s.limit {
 		s.evict()
 	}
 	return depth
 }
 
-// evict removes the least recently used live line. Only called when
-// live > limit >= 1, so the victim is never the line just inserted
-// (which holds the highest slot while at least one other line is live).
+// evict removes the least recently used live line: the first live slot
+// at or after the low cursor. Only called when live > limit >= 1, so the
+// victim is never the line just inserted (which holds the highest slot
+// while at least one other line is live).
 func (s *Stack) evict() {
-	sl := s.lowestLive()
-	line, ok := s.rev[sl]
-	if !ok {
-		//emlint:allowpanic internal invariant: rev mirrors slot whenever limit > 0
-		panic("lrustack: reverse slot map out of sync")
+	for !s.isLive(s.low) {
+		s.low++
 	}
-	s.add(sl, -1)
-	delete(s.slot, line)
-	delete(s.rev, sl)
+	victim := s.rev[s.low]
+	s.kill(s.low)
+	s.idx.remove(victim)
 	s.live--
 	s.dropped++
-}
-
-// lowestLive returns the 0-based slot of the oldest live line — the
-// smallest slot whose prefix count reaches 1 — via the standard Fenwick
-// binary descend: walk power-of-two strides, keeping the largest tree
-// index whose cumulative sum is still short of the target.
-func (s *Stack) lowestLive() int64 {
-	var pos int64
-	rem := int64(1)
-	mask := int64(1)
-	for mask*2 < int64(len(s.tree)) {
-		mask *= 2
-	}
-	for ; mask > 0; mask >>= 1 {
-		if next := pos + mask; next < int64(len(s.tree)) && s.tree[next] < rem {
-			rem -= s.tree[next]
-			pos = next
-		}
-	}
-	return pos
 }
 
 // Live returns the number of live (distinct, not evicted) lines.

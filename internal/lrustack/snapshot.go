@@ -8,7 +8,7 @@ import (
 
 // StackState is the serialisable state of a Stack: the live lines in
 // recency order plus the eviction counter. Slot numbers, the Fenwick
-// tree and the reverse map are representation details — only the order
+// tree and the line index are representation details — only the order
 // matters for depth queries — so restore re-densifies slots to
 // 0..live-1 and rebuilds the derived structures.
 type StackState struct {
@@ -24,13 +24,8 @@ type StackState struct {
 // deterministic (ascending last-reference slot), so identical stacks
 // serialise identically.
 func (s *Stack) State() StackState {
-	lines := make([]mem.Line, 0, len(s.slot))
-	for l := range s.slot {
-		lines = append(lines, l)
-	}
-	sortBySlot(lines, s.slot)
 	return StackState{
-		Lines:   lines,
+		Lines:   s.appendLive(make([]mem.Line, 0, s.live)),
 		Limit:   s.limit,
 		Dropped: s.dropped,
 	}
@@ -43,32 +38,30 @@ func (s *Stack) SetState(st StackState) error {
 	if st.Limit != s.limit {
 		return fmt.Errorf("lrustack: state limit %d, stack limit %d", st.Limit, s.limit)
 	}
-	if s.limit > 0 && int64(len(st.Lines)) > s.limit {
-		return fmt.Errorf("lrustack: state has %d live lines, limit is %d", len(st.Lines), s.limit)
+	n := int64(len(st.Lines))
+	if s.limit > 0 && n > s.limit {
+		return fmt.Errorf("lrustack: state has %d live lines, limit is %d", n, s.limit)
 	}
-	slot := make(map[mem.Line]int64, len(st.Lines))
-	for i, l := range st.Lines {
-		if _, dup := slot[l]; dup {
+	idx := newLineIndex(len(st.Lines))
+	for k, l := range st.Lines {
+		i, dup := idx.find(l)
+		if dup {
 			return fmt.Errorf("lrustack: state holds line %d twice", l)
 		}
-		slot[l] = int64(i)
+		idx.insert(i, l, int64(k))
 	}
-	s.slot = slot
-	s.live = int64(len(st.Lines))
-	s.used = s.live
-	treeCap := 1024
-	for int64(treeCap) <= s.used+1 {
-		treeCap *= 2
+	size := minSlots
+	for int64(size) <= n+1 {
+		size *= 2
 	}
-	s.tree = make([]int64, treeCap)
+	s.idx = idx
+	s.tree = make([]int64, size)
+	s.rev = make([]mem.Line, size)
+	copy(s.rev, st.Lines)
+	s.occ = make([]uint64, size/64)
+	s.used, s.live, s.low = n, n, 0
+	s.fillOcc()
 	s.rebuild()
-	if s.rev != nil {
-		clear(s.rev)
-		for l, sl := range s.slot {
-			s.rev[sl] = l
-		}
-	}
-	s.scratch = s.scratch[:0]
 	s.dropped = st.Dropped
 	return nil
 }

@@ -115,6 +115,7 @@ func (p *Profiler) Instr(n uint64) {
 // record-by-record: interval cuts depend on per-record instruction
 // counts, so a batch is split exactly where the scalar path would cut.
 //
+//emlint:hotpath
 //emlint:batchpair Access
 //emlint:batchpair Instr
 func (p *Profiler) AccessBatch(b *mem.Batch) {
@@ -129,6 +130,8 @@ func (p *Profiler) AccessBatch(b *mem.Batch) {
 }
 
 // cut finalizes the current interval and opens the next one.
+//
+//emlint:coldpath once per interval (a million instructions by default); appends the interval record
 func (p *Profiler) cut() {
 	p.intervals = append(p.intervals, Interval{
 		Index:      len(p.intervals),
