@@ -11,7 +11,7 @@
 //	emsim -replay mcf.trace              # drive the machines from a trace
 //	emsim -checkpoint run.ckpt -checkpoint-every 1000000
 //	emsim -resume run.ckpt               # continue an interrupted run
-//	emsim -j 2                           # run the two machines concurrently
+//	emsim -j 2                           # pipeline the two machines behind one generator
 //	emsim -cpuprofile cpu.pprof -memprofile mem.pprof
 //	emsim -json                          # machine-readable result (same bytes as emsimd /run)
 //	emsim -list
@@ -57,7 +57,7 @@ func main() {
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "events between periodic checkpoints (0 = only on interrupt)")
 		resume    = flag.String("resume", "", "resume from this checkpoint file (run parameters come from the checkpoint)")
 		list      = flag.Bool("list", false, "list available workloads")
-		jobs      = flag.Int("j", 0, "worker pool for the two machine passes: 0 = all cores, 1 = serial legacy tee pass (checkpoint/resume force serial)")
+		jobs      = flag.Int("j", 0, "machine goroutines: 0 = all cores, 1 = both machines serially on the generating goroutine; otherwise each machine consumes the one filtered stream on its own goroutine (checkpoint, resume and -scalar force serial)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		timeline  = flag.String("timeline", "", "write per-interval metric samples of both machines as JSONL to this file (\"-\" = stdout)")

@@ -1,24 +1,25 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/telhttp"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
 )
 
 // runParams describes one simulation run. Both machines (the 1-core
 // baseline and the N-core migration configuration) are driven in a
-// single pass over the input, so a checkpoint captures them at the same
-// event and a resumed run replays the identical stream to both.
+// single pass over the input through one shared L1 stage, so a
+// checkpoint captures them at the same event and a resumed run replays
+// the identical stream to both.
 type runParams struct {
 	Workload string
 	Instr    uint64
@@ -38,9 +39,11 @@ type runParams struct {
 	// output).
 	Scalar bool
 
-	// Workers sets the worker pool for the two machine passes: 0 = all
-	// cores, 1 = the legacy serial tee pass. Checkpointing and resuming
-	// force the serial path regardless (a checkpoint must capture both
+	// Workers selects how the two machines consume the one filtered
+	// stream: 1 = serially on the generating goroutine; 0 (all cores)
+	// or more = pipelined, each machine on its own goroutine behind the
+	// generator and L1 stage. Checkpointing, resuming and -scalar force
+	// the serial path regardless (a checkpoint must capture both
 	// machines at the same event).
 	Workers int
 
@@ -50,9 +53,9 @@ type runParams struct {
 
 	// TimelineInterval, when positive, samples every machine metric at
 	// each multiple of this event count; the samples come back as
-	// runResult.Timeline. Both the serial tee pass and the independent
-	// parallel passes number events identically, so the rows are
-	// byte-identical for every worker count.
+	// runResult.Timeline. Serial and pipelined runs number events on
+	// the one producer, so the rows are byte-identical for every worker
+	// count.
 	TimelineInterval uint64
 	// live, when non-nil, receives metric snapshots at every timeline
 	// boundary (the -metrics endpoint).
@@ -65,6 +68,9 @@ type runParams struct {
 	// stopAfter aborts after exactly this many events — the test hook
 	// that simulates an interrupt at a deterministic point. 0 = never.
 	stopAfter uint64
+	// workload, when non-nil, is driven instead of a fresh instance of
+	// the named Workload — the test hook for generator failures.
+	workload workloads.Workload
 }
 
 // validate rejects malformed parameter combinations up front, before
@@ -115,24 +121,24 @@ type runResult struct {
 // workload generator mid-stream; drive recovers it.
 type stopRun struct{}
 
-// teeSink fans one event stream out to both machines.
-type teeSink struct{ a, b mem.BatchSink }
+// scalarTee delivers the -scalar path's per-record calls to both
+// machines, which keep private L1s: the scalar oracle never goes
+// through an L1 stage.
+type scalarTee struct{ a, b *machine.Machine }
 
-func (t teeSink) Access(addr mem.Addr, kind mem.Kind) {
+func (t scalarTee) Access(addr mem.Addr, kind mem.Kind) {
 	t.a.Access(addr, kind)
 	t.b.Access(addr, kind)
 }
-func (t teeSink) Instr(n uint64) {
+
+func (t scalarTee) Instr(n uint64) {
 	t.a.Instr(n)
 	t.b.Instr(n)
 }
 
-// AccessBatch implements mem.BatchSink. Consumers may not retain or
-// mutate the batch, so handing the same one to both machines is safe.
-func (t teeSink) AccessBatch(b *mem.Batch) {
-	t.a.AccessBatch(b)
-	t.b.AccessBatch(b)
-}
+// AccessBatch implements mem.BatchSink record by record; scalar drives
+// never batch, so this only completes the interface.
+func (t scalarTee) AccessBatch(b *mem.Batch) { mem.DeliverBatch(b, t) }
 
 // ckptSink numbers events, discards the resume prefix, triggers
 // periodic checkpoints, and aborts on a stop request. Workload
@@ -300,9 +306,11 @@ func drive(p runParams, sink *ckptSink) (interrupted bool, err error) {
 		}
 		return false, nil
 	}
-	w, err := suite.Registry().New(p.Workload)
-	if err != nil {
-		return false, err
+	w := p.workload
+	if w == nil {
+		if w, err = suite.Registry().New(p.Workload); err != nil {
+			return false, err
+		}
 	}
 	if p.Scalar {
 		w.Run(sink, p.Instr)
@@ -357,81 +365,28 @@ func run(p *runParams) (*runResult, error) {
 		return nil, err
 	}
 
-	// With no checkpoint state in play the two machines never need to
-	// agree on an event boundary, so they can consume independent copies
-	// of the (deterministic) input stream concurrently.
-	if p.Workers != 1 && p.Checkpoint == "" && resumeCk == nil {
-		return runIndependent(p, normal, mig, tel)
+	// -scalar keeps private L1s and per-record delivery (the oracle);
+	// every other run filters the stream once through a shared stage.
+	var fan *machine.FanOut
+	var inner mem.BatchSink = scalarTee{a: normal, b: mig}
+	if !p.Scalar {
+		if fan, err = machine.NewFanOut(normal, mig); err != nil {
+			return nil, err
+		}
+		inner = fan
 	}
 
 	var skip uint64
 	if resumeCk != nil {
-		ns, err := resumeCk.Machine("normal")
+		if fan != nil {
+			err = fan.Restore(resumeCk, "normal", "migration")
+		} else {
+			err = machine.RestoreCheckpoint(resumeCk, []*machine.Machine{normal, mig}, "normal", "migration")
+		}
 		if err != nil {
-			return nil, err
-		}
-		if err := normal.Restore(*ns); err != nil {
-			return nil, err
-		}
-		ms, err := resumeCk.Machine("migration")
-		if err != nil {
-			return nil, err
-		}
-		if err := mig.Restore(*ms); err != nil {
-			return nil, err
-		}
-		// Non-Michaud policies serialise through the checkpoint
-		// extension (the snapshot's Controller field stays nil for
-		// them); restore that state after the cache/stat restore.
-		if ext := resumeCk.Ext(); ext != nil {
-			ps, err := ext.State("migration")
-			if err != nil {
-				return nil, fmt.Errorf("emsim: %w", err)
-			}
-			if err := mig.SetPolicyState(ps); err != nil {
-				return nil, fmt.Errorf("emsim: restoring policy state: %w", err)
-			}
+			return nil, fmt.Errorf("emsim: %w", err)
 		}
 		skip = resumeCk.Events
-	}
-
-	snapshot := func(events uint64) (*machine.Checkpoint, error) {
-		ns, err := normal.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		ms, err := mig.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		ck := &machine.Checkpoint{
-			Workload: p.Workload,
-			Replay:   p.Replay,
-			Instr:    p.Instr,
-			Cores:    p.Cores,
-			Events:   events,
-			Machines: []machine.NamedSnapshot{
-				{Name: "normal", Snap: ns},
-				{Name: "migration", Snap: ms},
-			},
-		}
-		// Non-default scenarios ride the optional checkpoint extension;
-		// default runs attach nothing, keeping their files byte-identical
-		// to the pre-policy format.
-		if p.Policy != "" || p.Topology != "" {
-			ps, err := mig.PolicyState()
-			if err != nil {
-				return nil, err
-			}
-			ck.SetExt(&machine.CheckpointExt{
-				Policy:   p.Policy,
-				Topology: p.Topology,
-				PolicyStates: []machine.NamedPolicyState{
-					{Name: "migration", State: ps},
-				},
-			})
-		}
-		return ck, nil
 	}
 
 	var saveErr error
@@ -439,7 +394,8 @@ func run(p *runParams) (*runResult, error) {
 		if p.Checkpoint == "" {
 			return
 		}
-		ck, err := snapshot(events)
+		ck := &machine.Checkpoint{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr, Cores: p.Cores, Events: events}
+		err := machine.CaptureCheckpoint(ck, p.Policy, p.Topology, []*machine.Machine{normal, mig}, "normal", "migration")
 		if err == nil {
 			err = machine.SaveCheckpoint(p.Checkpoint, ck)
 		}
@@ -449,7 +405,7 @@ func run(p *runParams) (*runResult, error) {
 	}
 
 	sink := &ckptSink{
-		inner: teeSink{a: normal, b: mig},
+		inner: inner,
 		skip:  skip,
 		every: p.CheckpointEvery,
 		save:  save,
@@ -460,7 +416,32 @@ func run(p *runParams) (*runResult, error) {
 		sink.tick = tel.tickBoth
 		sink.tickEvery = tel.interval
 	}
-	interrupted, err := drive(*p, sink)
+	var pipe *machine.Pipeline
+	if fan != nil && p.Checkpoint == "" && resumeCk == nil && workers(p.Workers) > 1 {
+		// Pipelined: this goroutine generates and filters, each machine
+		// consumes on its own goroutine. Timeline boundaries travel down
+		// the ring as markers, so each machine samples itself at the
+		// producer's event numbers.
+		var tick func(int, uint64)
+		if tel != nil {
+			tick = tel.tickMachine
+			sink.tick = func(events uint64) {
+				if tel.boundary(events) {
+					pipe.Tick(events)
+				}
+			}
+		}
+		pipe = fan.Pipeline(tick)
+		sink.inner = pipe
+	}
+	interrupted, err := func() (bool, error) {
+		if pipe != nil {
+			// Also on a generator panic: drain the ring and stop every
+			// machine goroutine before the panic leaves run.
+			defer pipe.Close()
+		}
+		return drive(*p, sink)
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -491,43 +472,10 @@ func run(p *runParams) (*runResult, error) {
 	}, nil
 }
 
-// runIndependent drives the two machines as separate passes over the
-// input through the worker pool. Each pass regenerates the workload (or
-// reopens the trace) itself, so it observes the exact event stream the
-// serial tee would have delivered and the stats are bit-identical to
-// the serial path. The -stop-after test hook counts events per pass and
-// so also stops deterministically; only an asynchronous SIGINT may
-// catch the two passes at different events, in which case the partial
-// report covers whatever each machine had consumed.
-func runIndependent(p *runParams, normal, mig *machine.Machine, tel *runTelemetry) (*runResult, error) {
-	sinks := [2]*ckptSink{
-		{inner: normal, stop: p.stop, after: p.stopAfter},
-		{inner: mig, stop: p.stop, after: p.stopAfter},
+// workers resolves a -j value: 0 means every available core.
+func workers(j int) int {
+	if j == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if tel != nil {
-		sinks[0].tick = tel.tickNormal
-		sinks[1].tick = tel.tickMig
-		sinks[0].tickEvery = tel.interval
-		sinks[1].tickEvery = tel.interval
-	}
-	var interrupted [2]bool
-	pass := func(i int) func(context.Context) error {
-		return func(context.Context) error {
-			var err error
-			interrupted[i], err = drive(*p, sinks[i])
-			return err
-		}
-	}
-	if err := runner.Run(context.Background(), runner.Config{Workers: p.Workers}, pass(0), pass(1)); err != nil {
-		return nil, err
-	}
-	return &runResult{
-		Normal:      normal.FinalStats(),
-		Mig:         mig.FinalStats(),
-		Events:      max(sinks[0].events, sinks[1].events),
-		Interrupted: interrupted[0] || interrupted[1],
-		Timeline:    tel.finish(),
-
-		TimelineDropped: tel.droppedRows(),
-	}, nil
+	return j
 }

@@ -7,13 +7,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
 )
 
@@ -232,9 +235,9 @@ func TestSIGINTGracefulStop(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialTee: the two-pass concurrent path must
-// produce stats bit-identical to the legacy serial tee pass, for both a
-// workload source and a trace replay, including the event count.
+// TestParallelMatchesSerialTee: the pipelined fan-out must produce
+// stats bit-identical to the serial pass, for both a workload source
+// and a trace replay, including the event count.
 func TestParallelMatchesSerialTee(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "golden.trace")
 	{
@@ -290,9 +293,9 @@ func TestParallelMatchesSerialTee(t *testing.T) {
 	}
 }
 
-// TestParallelStopAfterDeterministic: the per-pass event counter makes
-// the stop-after hook deterministic even on the concurrent path — both
-// machines halt at exactly the same event.
+// TestParallelStopAfterDeterministic: the producer numbers events for
+// both machines, so the stop-after hook is deterministic on the
+// pipelined path too — both machines halt at exactly the same event.
 func TestParallelStopAfterDeterministic(t *testing.T) {
 	sp := runParams{Workload: "em3d", Instr: 200_000, Cores: 4, Workers: 1, stopAfter: 34_567}
 	serial, err := run(&sp)
@@ -310,6 +313,132 @@ func TestParallelStopAfterDeterministic(t *testing.T) {
 	}
 	if serial.Normal != parallel.Normal || serial.Mig != parallel.Mig || serial.Events != parallel.Events {
 		t.Fatalf("stop-after runs diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+}
+
+// onEvent wraps a workload so that its generator calls hook at its
+// n-th event (counted on the generating goroutine, before delivery).
+type onEvent struct {
+	workloads.Workload
+	n    int
+	hook func()
+}
+
+func (w onEvent) Run(sink mem.Sink, budget uint64) {
+	w.Workload.Run(&onEventSink{Sink: sink, left: w.n, hook: w.hook}, budget)
+}
+
+type onEventSink struct {
+	mem.Sink
+	left int
+	hook func()
+}
+
+func (s *onEventSink) count() {
+	if s.left--; s.left == 0 {
+		s.hook()
+	}
+}
+
+func (s *onEventSink) Access(addr mem.Addr, kind mem.Kind) {
+	s.count()
+	s.Sink.Access(addr, kind)
+}
+
+func (s *onEventSink) Instr(n uint64) {
+	s.count()
+	s.Sink.Instr(n)
+}
+
+// newWorkload returns a fresh instance of a registered workload.
+func newWorkload(t *testing.T, name string) workloads.Workload {
+	t.Helper()
+	w, err := suite.Registry().New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// settleGoroutines waits up to a second for the goroutine count to fall
+// to base (an exiting goroutine outlives its WaitGroup.Done briefly)
+// and returns the last count.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPipelinedStopConsistent: a pipelined run stopped by -stop-after
+// or by the stop flag (the SIGINT path) drains the ring, so both
+// machines end at the producer's last event: the machines agree on
+// every stream count, Events is the producer's count (a serial run
+// stopped at exactly that event reproduces stats and timeline), and no
+// machine goroutine outlives the run.
+func TestPipelinedStopConsistent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(p *runParams)
+	}{
+		{"stop-after", func(p *runParams) { p.stopAfter = 34_567 }},
+		{"stop-flag", func(p *runParams) {
+			var stop atomic.Bool
+			p.stop = &stop
+			p.workload = onEvent{Workload: newWorkload(t, p.Workload), n: 50_000, hook: func() { stop.Store(true) }}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			p := runParams{Workload: "em3d", Instr: 400_000, Cores: 4, Workers: 2, TimelineInterval: 7_777}
+			tc.set(&p)
+			res, err := run(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := settleGoroutines(base); n > base {
+				t.Errorf("%d goroutines after the stopped run, %d before", n, base)
+			}
+			if !res.Interrupted {
+				t.Fatal("run was not interrupted")
+			}
+			n, m := res.Normal, res.Mig
+			if n.Instructions != m.Instructions || n.IFetches != m.IFetches || n.Loads != m.Loads || n.Stores != m.Stores {
+				t.Fatalf("machines stopped at different events:\nnormal:    %+v\nmigration: %+v", n, m)
+			}
+			sp := runParams{Workload: "em3d", Instr: 400_000, Cores: 4, Workers: 1, TimelineInterval: 7_777, stopAfter: res.Events}
+			serial, err := run(&sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.Normal != res.Normal || serial.Mig != res.Mig || serial.Events != res.Events {
+				t.Fatalf("pipelined stop at event %d differs from a serial stop there", res.Events)
+			}
+			if !bytes.Equal(timelineBytes(t, serial), timelineBytes(t, res)) {
+				t.Fatal("pipelined stop timeline differs from the serial one")
+			}
+		})
+	}
+}
+
+// TestPipelinedGeneratorPanicNoLeak: a generator panic mid-run leaves
+// run with the panic, after every machine goroutine has exited.
+func TestPipelinedGeneratorPanicNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := runParams{Workload: "em3d", Instr: 400_000, Cores: 4, Workers: 2}
+	p.workload = onEvent{Workload: newWorkload(t, p.Workload), n: 100_000, hook: func() { panic("generator failed") }}
+	func() {
+		defer func() {
+			if r := recover(); r != "generator failed" {
+				t.Errorf("run panicked with %v, want the generator's panic", r)
+			}
+		}()
+		run(&p)
+	}()
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("%d goroutines after the generator panic, %d before", n, base)
 	}
 }
 

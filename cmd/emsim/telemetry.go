@@ -11,8 +11,8 @@ import (
 )
 
 // runTelemetry owns the per-run observability state: one timeline per
-// machine (sampled on the shared event numbering, so serial and
-// parallel passes sample identical points) and the optional live
+// machine (sampled on the producer's event numbering, so serial and
+// pipelined passes sample identical points) and the optional live
 // endpoint. It is created only when -timeline or -metrics is in play.
 type runTelemetry struct {
 	interval    uint64
@@ -55,7 +55,7 @@ func (rt *runTelemetry) boundary(events uint64) bool {
 	return events != 0 && events%rt.interval == 0
 }
 
-// tickBoth is the serial tee pass's per-event hook: both machines sit
+// tickBoth is the serial pass's per-event hook: both machines sit
 // at the same event, so both timelines sample together.
 func (rt *runTelemetry) tickBoth(events uint64) {
 	rt.normal.MaybeSample(events)
@@ -66,26 +66,23 @@ func (rt *runTelemetry) tickBoth(events uint64) {
 	}
 }
 
-// tickNormal and tickMig are the independent-pass hooks; each pass
-// numbers its own identical copy of the event stream.
-func (rt *runTelemetry) tickNormal(events uint64) {
-	rt.normal.MaybeSample(events)
-	if rt.live != nil && rt.boundary(events) {
-		rt.live.Publish("normal", rt.normalReg.Snapshot())
+// tickMachine is the pipelined pass's hook, called on machine i's own
+// goroutine (0 = normal, 1 = migration) at each boundary marker.
+func (rt *runTelemetry) tickMachine(i int, events uint64) {
+	tl, reg, name := rt.normal, rt.normalReg, "normal"
+	if i == 1 {
+		tl, reg, name = rt.mig, rt.migReg, "migration"
 	}
-}
-
-func (rt *runTelemetry) tickMig(events uint64) {
-	rt.mig.MaybeSample(events)
+	tl.MaybeSample(events)
 	if rt.live != nil && rt.boundary(events) {
-		rt.live.Publish("migration", rt.migReg.Snapshot())
+		rt.live.Publish(name, reg.Snapshot())
 	}
 }
 
 // finish publishes the end-of-run values and returns the merged row
 // stream: interval-ascending, normal before migration within an
-// interval — the order the serial tee produces, so parallel runs merge
-// to byte-identical JSONL.
+// interval — the order the serial pass produces, so pipelined runs
+// merge to byte-identical JSONL.
 func (rt *runTelemetry) finish() []telemetry.Row {
 	if rt == nil {
 		return nil

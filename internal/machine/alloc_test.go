@@ -14,15 +14,9 @@ import (
 // migration machine on the capped open-addressed table (TableEntries=0,
 // the §4.1 idealisation under its memory cap).
 func steadyMachines() map[string]*Machine {
-	unboundedCfg := MigrationConfigN(4)
-	mc := migration.MustConfigForCores(4)
-	mc.TableEntries = 0 // unbounded table, DefaultTableLimit cap
-	unboundedCfg.Migration = &mc
-
-	ms := map[string]*Machine{
-		"normal":         MustNew(NormalConfig()),
-		"migration":      MustNew(MigrationConfig()),
-		"migration-utab": MustNew(unboundedCfg),
+	ms := map[string]*Machine{}
+	for name, cfg := range steadyConfigs() {
+		ms[name] = MustNew(cfg)
 	}
 	// Warm up well past every structure's fill point: a 1.5 MB circular
 	// working set overflows one L2 (migrations happen), and three laps
@@ -31,6 +25,19 @@ func steadyMachines() map[string]*Machine {
 		trace.Drive(trace.NewCircular(24<<10), m, 100_000, 6, 3)
 	}
 	return ms
+}
+
+// steadyConfigs returns the configurations behind steadyMachines.
+func steadyConfigs() map[string]Config {
+	unboundedCfg := MigrationConfigN(4)
+	mc := migration.MustConfigForCores(4)
+	mc.TableEntries = 0 // unbounded table, DefaultTableLimit cap
+	unboundedCfg.Migration = &mc
+	return map[string]Config{
+		"normal":         NormalConfig(),
+		"migration":      MigrationConfig(),
+		"migration-utab": unboundedCfg,
+	}
 }
 
 // driveSteady pushes one deterministic reference mix (loads, stores,

@@ -3,108 +3,58 @@ package machine
 import "repro/internal/mem"
 
 // Batched event delivery: the columnar fast path of the simulator.
-// AccessBatch consumes a mem.Batch in one call, keeping the L1 probe
-// and the per-record statistics in a tight loop with local accumulators
-// that are folded into Stats and the telemetry counters once per batch.
-// Only L1 misses drop into the branchy request/migration slow path —
-// the same request/fetch/storeThrough code the scalar Access uses, so
-// the two entry points cannot drift apart semantically. The scalar and
-// batched paths are pinned equivalent by TestAccessBatchMatchesScalar.
+// AccessBatch consumes a mem.Batch in one call: the machine's private
+// L1 stage filters it (stage.go), and the one batch kernel, consume,
+// services what the L1s let through. Only L1 misses and DL1-hit stores
+// reach the branchy request/storeThrough slow path — the same code the
+// scalar Access uses, so the two entry points cannot drift apart
+// semantically. The scalar and batched paths are pinned equivalent by
+// TestAccessBatchMatchesScalar.
 //
 // Equivalence notes (the differential tests rely on these):
 //   - Counter accumulation is observationally safe because telemetry
 //     snapshots, timeline ticks and checkpoints only read the counters
 //     between sink calls — never inside one — and batch producers align
 //     flushes to those boundaries.
-//   - ctrl.NearMigration is evaluated per instruction record, in stream
-//     order, exactly as the scalar Instr does: the register-update
-//     suppression window depends on the controller state at that point
-//     of the stream.
+//   - NearMigration is evaluated per instruction record, in stream
+//     order relative to the controller-visible requests, as the scalar
+//     Instr does: the register-update suppression window depends on the
+//     policy state at that point of the stream.
 //   - Unknown kind tags count a reference and nothing else, matching
 //     the scalar Access (refs increments before the kind switch).
 
 // AccessBatch implements mem.BatchSink. It delivers every record of b
 // in order, semantically identical to calling Access/Instr one record
-// at a time.
+// at a time. A machine attached to a FanOut shares its L1s with the
+// other machines there and must receive events only through the
+// FanOut; AccessBatch panics on such a machine.
 //
-//emlint:batchpair Access
-//emlint:batchpair Instr
 //emlint:hotpath
 func (m *Machine) AccessBatch(b *mem.Batch) {
-	kinds := b.Kind
-	addrs := b.Addr
-	if len(addrs) != len(kinds) {
-		raggedBatch()
+	if m.stage == nil {
+		attachedBatch()
 	}
-	il1, dl1 := m.il1, m.dl1
-	shift := m.cfg.LineShift
-	migration := m.cfg.Migration != nil
-	var refs, fetches, loads, stores, instrs, busBytes uint64
-	for i, k := range kinds {
-		if k == mem.KindInstr {
-			n := uint64(addrs[i])
-			instrs += n
-			if migration {
-				if m.cfg.BroadcastThreshold > 0 && !m.polNearMigration(m.cfg.BroadcastThreshold) {
-					m.Stats.SuppressedRegBytes += 9 * n
-				} else {
-					busBytes += 9 * n
-				}
-			}
-			continue
-		}
-		refs++
-		line := mem.LineOf(addrs[i], shift)
-		switch mem.Kind(k) {
-		case mem.IFetch:
-			fetches++
-			if _, ok := il1.Probe(line); ok {
-				continue
-			}
-			m.Stats.IL1Misses++
-			m.probes.il1Misses.Inc()
-			m.request(line, false, false)
-			m.fillL1(il1, line)
-		case mem.Load, mem.PtrLoad:
-			loads++
-			if _, ok := dl1.Probe(line); ok {
-				continue
-			}
-			m.Stats.DL1Misses++
-			m.probes.dl1Misses.Inc()
-			m.request(line, false, mem.Kind(k) == mem.PtrLoad)
-			m.fillL1(dl1, line)
-		case mem.Store:
-			stores++
-			if migration {
-				busBytes += 16
-			}
-			if _, ok := dl1.Probe(line); ok {
-				m.storeThrough(line)
-				continue
-			}
-			m.Stats.DL1Misses++
-			m.probes.dl1Misses.Inc()
-			m.request(line, true, false)
-		}
-	}
-	m.Stats.IFetches += fetches
-	m.Stats.Loads += loads
-	m.Stats.Stores += stores
-	m.Stats.Instructions += instrs
-	m.Stats.UpdateBusBytes += busBytes
-	m.probes.refs.Add(refs)
-	m.probes.instructions.Add(instrs)
+	m.stage.filter(b, &m.fb)
+	m.consume(&m.fb)
 }
 
 // raggedBatch reports a violated Batch invariant. Kept out of the
-// AccessBatch body so the hot loop stays free of the interface boxing a
+// kernel bodies so the hot loops stay free of the interface boxing a
 // panic argument implies.
 //
 //emlint:coldpath terminal: only reached on a programming error
 func raggedBatch() {
 	//emlint:allowpanic Batch invariant: parallel columns always have equal length
 	panic("machine: ragged batch")
+}
+
+// attachedBatch reports a direct delivery to a machine whose L1s belong
+// to a FanOut's shared stage.
+//
+//emlint:coldpath terminal: only reached on a programming error
+func attachedBatch() {
+	//emlint:allowpanic attached machines share their L1s; delivering around the FanOut would filter the stream twice
+	panic("machine: AccessBatch on a machine attached to a FanOut")
 }
 
 var _ mem.BatchSink = (*Machine)(nil)

@@ -1,23 +1,44 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/migration"
 	"repro/internal/trace"
 )
 
-// batchConfigs returns fresh machine pairs for the three affinity
-// regimes, one machine for the scalar path and one for the batch path.
-func batchConfigs() map[string]func() *Machine {
-	return map[string]func() *Machine{
-		"normal":    func() *Machine { return MustNew(NormalConfig()) },
-		"migration": func() *Machine { return MustNew(MigrationConfig()) },
-		"migration-8": func() *Machine {
-			return MustNew(MigrationConfigN(8))
-		},
+// batchConfigs returns the machine configurations the parity tests
+// cover: the 1-core baseline and every policy (michaud, numa, never) at
+// 2, 4 and 8 cores, with the §6 broadcast threshold off and on (0.5
+// keeps the gate flipping both ways over the mix).
+func batchConfigs() map[string]Config {
+	cfgs := map[string]Config{"normal": NormalConfig()}
+	for _, pol := range []string{migration.PolicyMichaud, migration.PolicyNuma, migration.PolicyNever} {
+		for _, cores := range []int{2, 4, 8} {
+			for _, thr := range []float64{0, 0.5} {
+				cfg, err := MigrationConfigScenario(cores, pol, "")
+				if err != nil {
+					panic(err)
+				}
+				cfg.BroadcastThreshold = thr
+				name := pol
+				if pol == migration.PolicyMichaud {
+					name = "migration"
+				}
+				if cores != 4 {
+					name += fmt.Sprintf("-%d", cores)
+				}
+				if thr > 0 {
+					name += fmt.Sprintf("-thr%v", thr)
+				}
+				cfgs[name] = cfg
+			}
+		}
 	}
+	return cfgs
 }
 
 // driveMix pushes n deterministic records of a mixed-kind stream
@@ -54,42 +75,94 @@ func driveMix(sink mem.Sink, ws int, n int) {
 }
 
 // TestAccessBatchMatchesScalar is the machine-level differential gate:
-// the same record stream delivered scalar (Access/Instr per record) and
-// batched (Batcher -> AccessBatch) must leave two machines with
-// identical statistics, identical telemetry snapshots, and identical
-// cache/controller state snapshots.
+// the same record stream delivered scalar (Access/Instr per record, the
+// oracle with private L1s) and through each batch path must leave the
+// machines with identical statistics, identical telemetry snapshots,
+// and identical cache/controller state snapshots. The batch paths are
+// a machine's own AccessBatch (private stage), a serial FanOut, and a
+// pipelined FanOut; both fan-outs share one L1 stage between the
+// machine under test and a 1-core baseline, as every front end does.
 func TestAccessBatchMatchesScalar(t *testing.T) {
-	for name, mk := range batchConfigs() {
-		t.Run(name, func(t *testing.T) {
-			scalar, batched := mk(), mk()
-			// 200k refs on a 1.5 MB circular set overflows one L2, so the
-			// migration slow path is exercised from inside AccessBatch.
-			const refs = 200_000
-			driveMix(scalar, 24<<10, refs)
-			ba := mem.NewBatcher(batched, 512)
+	// 200k refs on a 1.5 MB circular set overflows one L2, so the
+	// migration slow path is exercised from inside the batch kernel.
+	const refs = 200_000
+	oracle := MustNew(NormalConfig())
+	driveMix(oracle, 24<<10, refs)
+	paths := map[string]func(m *Machine) *Machine{
+		"batched": func(m *Machine) *Machine {
+			ba := mem.NewBatcher(m, 512)
 			driveMix(ba, 24<<10, refs)
 			ba.Flush()
-
-			if scalar.FinalStats() != batched.FinalStats() {
-				t.Errorf("stats diverge:\nscalar:  %+v\nbatched: %+v",
-					scalar.FinalStats(), batched.FinalStats())
-			}
-			if !reflect.DeepEqual(scalar.Telemetry().Snapshot(), batched.Telemetry().Snapshot()) {
-				t.Errorf("telemetry diverges:\nscalar:  %+v\nbatched: %+v",
-					scalar.Telemetry().Snapshot(), batched.Telemetry().Snapshot())
-			}
-			s1, err := scalar.Snapshot()
+			return nil
+		},
+		"fanout": func(m *Machine) *Machine {
+			normal := MustNew(NormalConfig())
+			fan, err := NewFanOut(normal, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s2, err := batched.Snapshot()
+			ba := mem.NewBatcher(fan, 512)
+			driveMix(ba, 24<<10, refs)
+			ba.Flush()
+			return normal
+		},
+		"pipelined": func(m *Machine) *Machine {
+			normal := MustNew(NormalConfig())
+			fan, err := NewFanOut(normal, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(s1, s2) {
-				t.Error("machine snapshots diverge between scalar and batched delivery")
+			pipe := fan.Pipeline(nil)
+			ba := mem.NewBatcher(pipe, 512)
+			driveMix(ba, 24<<10, refs)
+			ba.Flush()
+			pipe.Close()
+			return normal
+		},
+	}
+	for name, cfg := range batchConfigs() {
+		t.Run(name, func(t *testing.T) {
+			scalar := MustNew(cfg)
+			driveMix(scalar, 24<<10, refs)
+			for pname, deliver := range paths {
+				t.Run(pname, func(t *testing.T) {
+					batched := MustNew(cfg)
+					if partner := deliver(batched); partner != nil {
+						assertSameMachine(t, oracle, partner)
+					}
+					assertSameMachine(t, scalar, batched)
+				})
 			}
 		})
+	}
+}
+
+// assertSameMachine fails unless want and got agree on stats,
+// telemetry and full state snapshots.
+func assertSameMachine(t *testing.T, want, got *Machine) {
+	t.Helper()
+	if want.FinalStats() != got.FinalStats() {
+		t.Errorf("stats diverge:\nscalar:  %+v\nbatched: %+v", want.FinalStats(), got.FinalStats())
+	}
+	if !reflect.DeepEqual(want.Telemetry().Snapshot(), got.Telemetry().Snapshot()) {
+		t.Errorf("telemetry diverges:\nscalar:  %+v\nbatched: %+v",
+			want.Telemetry().Snapshot(), got.Telemetry().Snapshot())
+	}
+	s1, err := want.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := got.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s1, s2) {
+		t.Error("machine snapshots diverge between scalar and batched delivery")
+	}
+	p1, err1 := want.PolicyState()
+	p2, err2 := got.PolicyState()
+	if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(p1, p2) {
+		t.Error("policy states diverge between scalar and batched delivery")
 	}
 }
 
@@ -124,9 +197,22 @@ func TestAccessBatchRaggedPanics(t *testing.T) {
 }
 
 // TestAccessBatchSteadyStateZeroAllocs extends the allocation gate to
-// the batch kernel: once warm, AccessBatch must not allocate.
+// the batch kernels: once warm, a machine's AccessBatch, a serial
+// FanOut and a pipelined FanOut (ring slots recycle, consumers included
+// in the count) must not allocate.
 func TestAccessBatchSteadyStateZeroAllocs(t *testing.T) {
+	sinks := map[string]mem.BatchSink{}
 	for name, m := range steadyMachines() {
+		sinks[name] = m
+	}
+	fresh := steadyConfigs()
+	fan, err := NewFanOut(MustNew(fresh["normal"]), MustNew(fresh["migration"]), MustNew(fresh["migration-utab"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.Drive(trace.NewCircular(24<<10), fan, 100_000, 6, 3)
+	sinks["fanout"] = fan
+	for name, sink := range sinks {
 		g := trace.NewCircular(24 << 10)
 		b := mem.NewBatch(512)
 		fill := func() {
@@ -143,14 +229,22 @@ func TestAccessBatchSteadyStateZeroAllocs(t *testing.T) {
 				}
 			}
 		}
-		fill()
-		m.AccessBatch(b) // warm the batch path itself
-		allocs := testing.AllocsPerRun(100, func() {
+		check := func(name string, sink mem.BatchSink) {
 			fill()
-			m.AccessBatch(b)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs/op in steady-state AccessBatch; the //emlint:hotpath batch kernel must stay allocation-free", name, allocs)
+			sink.AccessBatch(b) // warm the batch path itself
+			allocs := testing.AllocsPerRun(100, func() {
+				fill()
+				sink.AccessBatch(b)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %v allocs/op in steady-state AccessBatch; the //emlint:hotpath batch kernels must stay allocation-free", name, allocs)
+			}
+		}
+		check(name, sink)
+		if name == "fanout" {
+			pipe := fan.Pipeline(nil)
+			check("pipelined", pipe)
+			pipe.Close()
 		}
 	}
 }

@@ -113,6 +113,75 @@ func (c *Checkpoint) Machine(name string) (*Snapshot, error) {
 	return nil, fmt.Errorf("checkpoint: no machine named %q", name)
 }
 
+// CaptureCheckpoint snapshots ms into ck.Machines under names (one
+// per machine, in order). A non-default scenario (policy or topology
+// set) also gets the extension section, carrying the policy state of
+// every machine that runs a policy; default runs attach nothing, which
+// keeps their files byte-identical to the pre-policy format.
+func CaptureCheckpoint(ck *Checkpoint, policy, topology string, ms []*Machine, names ...string) error {
+	if len(names) != len(ms) {
+		return fmt.Errorf("machine: capturing %d machines under %d names", len(ms), len(names))
+	}
+	scenario := policy != "" || topology != ""
+	ck.Machines = make([]NamedSnapshot, len(ms))
+	var states []NamedPolicyState
+	for i, m := range ms {
+		s, err := m.Snapshot()
+		if err != nil {
+			return err
+		}
+		ck.Machines[i] = NamedSnapshot{Name: names[i], Snap: s}
+		if scenario && m.pol != nil {
+			ps, err := m.PolicyState()
+			if err != nil {
+				return err
+			}
+			states = append(states, NamedPolicyState{Name: names[i], State: ps})
+		}
+	}
+	if scenario {
+		ck.SetExt(&CheckpointExt{Policy: policy, Topology: topology, PolicyStates: states})
+	}
+	return nil
+}
+
+// RestoreCheckpoint loads the snapshots of ck named names (one per
+// machine, in order) into ms, then the checkpoint extension's policy
+// state into every machine that runs a policy (non-Michaud policies
+// serialise there; the snapshot's Controller field stays nil for them).
+// As with Machine.Restore, the machines are unusable after an error.
+func RestoreCheckpoint(ck *Checkpoint, ms []*Machine, names ...string) error {
+	if len(names) != len(ms) {
+		return fmt.Errorf("machine: restoring %d snapshots into %d machines", len(names), len(ms))
+	}
+	for i, m := range ms {
+		s, err := ck.Machine(names[i])
+		if err != nil {
+			return err
+		}
+		if err := m.Restore(*s); err != nil {
+			return err
+		}
+	}
+	ext := ck.Ext()
+	if ext == nil {
+		return nil
+	}
+	for i, m := range ms {
+		if m.pol == nil {
+			continue
+		}
+		ps, err := ext.State(names[i])
+		if err != nil {
+			return err
+		}
+		if err := m.SetPolicyState(ps); err != nil {
+			return fmt.Errorf("machine: restoring policy state of %q: %w", names[i], err)
+		}
+	}
+	return nil
+}
+
 // WriteCheckpoint serialises ck to w.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	var payload bytes.Buffer

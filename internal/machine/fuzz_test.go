@@ -194,6 +194,38 @@ func checkpointRestoreOracle(t *testing.T, data []byte) {
 			}
 		}
 	}
+	sharedStageRestore(t, ck)
+}
+
+// sharedStageRestore restores a multi-machine checkpoint the way the
+// front ends do, all machines behind one shared L1 stage: an error
+// (divergent L1s included) is a clean outcome, a panic is not, and a
+// success must have installed every machine's stats.
+func sharedStageRestore(t *testing.T, ck *Checkpoint) {
+	if len(ck.Machines) < 2 {
+		return
+	}
+	ms := make([]*Machine, len(ck.Machines))
+	names := make([]string, len(ck.Machines))
+	for i := range ck.Machines {
+		m, ok := restoreTarget(ck.Ext(), &ck.Machines[i].Snap)
+		if !ok {
+			return
+		}
+		ms[i], names[i] = m, ck.Machines[i].Name
+	}
+	fan, err := NewFanOut(ms...)
+	if err != nil {
+		return
+	}
+	if err := fan.Restore(ck, names...); err != nil {
+		return
+	}
+	for i, m := range ms {
+		if want, _ := ck.Machine(names[i]); m.Stats != want.Stats {
+			t.Fatalf("shared-stage restore succeeded but %q stats differ: %+v vs %+v", names[i], m.Stats, want.Stats)
+		}
+	}
 }
 
 // FuzzCheckpointRestore fuzzes the EMCKPT1 deserialise → restore path

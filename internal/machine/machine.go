@@ -277,6 +277,13 @@ type Machine struct {
 	l2  []*cache.SetAssoc
 	l3  *cache.SetAssoc // nil = infinite L3 (the paper's assumption)
 	pf  *prefetch.Prefetcher
+	// stage filters AccessBatch deliveries through il1/dl1 (its own
+	// caches). Nil once the machine is attached to a FanOut, whose shared
+	// stage il1/dl1 then point into.
+	//emlint:nosnapshot the stage's caches are il1/dl1, which Snapshot captures
+	stage *l1Stage
+	//emlint:nosnapshot per-batch scratch of AccessBatch, empty between calls
+	fb filtered
 	// pol is the migration policy (nil in normal mode). The default is
 	// the paper's Michaud controller; see Config.Policy.
 	//emlint:nosnapshot non-default policy state rides the EMCKPT1 extension via PolicyState/SetPolicyState; the Michaud default serialises through ctrl into Snapshot.Controller
@@ -334,20 +341,27 @@ func (cfg Config) Validate() error {
 // them in a panic for call sites with compile-time-constant
 // configurations.
 func New(cfg Config) (*Machine, error) {
+	return newMachine(cfg, nil, nil)
+}
+
+// newMachine builds a machine over the given L2 complex and L3, or over
+// fresh ones when l2 is nil (a Cluster hands programs 1..K-1 program 0's
+// arrays instead of allocating private ones).
+func newMachine(cfg Config, l2 []*cache.SetAssoc, l3 *cache.SetAssoc) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg: cfg,
-		il1: cache.NewSetAssoc(cfg.IL1),
-		dl1: cache.NewSetAssoc(cfg.DL1),
+	m := &Machine{cfg: cfg, stage: newL1Stage(cfg)}
+	m.il1, m.dl1 = m.stage.il1, m.stage.dl1
+	if l2 == nil {
+		for i := 0; i < cfg.Cores; i++ {
+			l2 = append(l2, cache.NewSetAssoc(cfg.L2))
+		}
+		if cfg.L3 != nil {
+			l3 = cache.NewSetAssoc(*cfg.L3)
+		}
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		m.l2 = append(m.l2, cache.NewSetAssoc(cfg.L2))
-	}
-	if cfg.L3 != nil {
-		m.l3 = cache.NewSetAssoc(*cfg.L3)
-	}
+	m.l2, m.l3 = l2, l3
 	if cfg.Prefetch != nil {
 		m.pf = prefetch.New(*cfg.Prefetch)
 	}

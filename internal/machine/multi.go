@@ -50,20 +50,23 @@ type Cluster struct {
 
 // NewCluster builds k programs over a shared L2 (and L3) complex. Every
 // program gets its own Machine built from cfg; programs beyond the
-// first alias their L2 and L3 arrays onto program 0's.
+// first are built directly over program 0's L2 and L3 arrays, so the
+// complex is allocated once.
 func NewCluster(cfg Config, k int) (*Cluster, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("machine: cluster needs at least one program, got %d", k)
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < k; i++ {
-		m, err := New(cfg)
+		var m *Machine
+		var err error
+		if i == 0 {
+			m, err = New(cfg)
+		} else {
+			m, err = newMachine(cfg, c.programs[0].l2, c.programs[0].l3)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("machine: program %d: %w", i, err)
-		}
-		if i > 0 {
-			m.l2 = c.programs[0].l2
-			m.l3 = c.programs[0].l3
 		}
 		c.programs = append(c.programs, m)
 	}

@@ -45,9 +45,8 @@ func extract(normal, mig machine.Stats) []uint64 {
 }
 
 // Source replays the full deterministic event stream into sink. Chain
-// jobs each call it afresh (like emsim's independent passes), so the
-// stream must be reproducible: a workload generator or a recorded
-// trace, never a live feed.
+// jobs each call it afresh, so the stream must be reproducible: a
+// workload generator or a recorded trace, never a live feed.
 type Source func(sink mem.BatchSink) error
 
 // SimConfig shapes the simulation pass.
@@ -92,18 +91,15 @@ type SimResult struct {
 // early); runChain recovers it.
 type stopChain struct{}
 
-// chainTee fans one event stream out to both machines. The machines
-// are re-pointed at each warm-start boundary, so the sink holds the tee
-// by pointer.
-type chainTee struct{ a, b mem.BatchSink }
-
 // chainSink numbers events exactly like emsim's checkpoint sink,
 // discards the chain's fast-forward prefix, fires the boundary hook at
 // each cut event, and aborts at the chain's end. Batches are delivered
 // in sub-spans that never straddle a cut, so the batched and scalar
-// delivery paths act at identical events.
+// delivery paths act at identical events. out is the chain's machine
+// pair behind one shared L1 stage (a machine.FanOut); each warm start
+// replaces it.
 type chainSink struct {
-	tee    *chainTee
+	out    mem.BatchSink
 	events uint64
 	skip   uint64
 	cuts   []uint64 // ascending, unique; the last cut is stopAt
@@ -130,8 +126,7 @@ func (c *chainSink) boundary() {
 func (c *chainSink) Access(addr mem.Addr, kind mem.Kind) {
 	c.events++
 	if c.events > c.skip {
-		c.tee.a.Access(addr, kind)
-		c.tee.b.Access(addr, kind)
+		c.out.Access(addr, kind)
 	}
 	c.boundary()
 }
@@ -139,8 +134,7 @@ func (c *chainSink) Access(addr mem.Addr, kind mem.Kind) {
 func (c *chainSink) Instr(n uint64) {
 	c.events++
 	if c.events > c.skip {
-		c.tee.a.Instr(n)
-		c.tee.b.Instr(n)
+		c.out.Instr(n)
 	}
 	c.boundary()
 }
@@ -172,8 +166,7 @@ func (c *chainSink) AccessBatch(b *mem.Batch) {
 		}
 		c.view.Addr = b.Addr[i : i+int(span)]
 		c.view.Kind = b.Kind[i : i+int(span)]
-		c.tee.a.AccessBatch(&c.view)
-		c.tee.b.AccessBatch(&c.view)
+		c.out.AccessBatch(&c.view)
 		c.events += span
 		i += int(span)
 		c.boundary()
@@ -252,82 +245,41 @@ func (r *chainRun) hook(event uint64) {
 // starts from checkpoint bytes, so the estimate inherits the resume
 // path's bit-exactness guarantee (and its tests).
 func (r *chainRun) warmStart(event uint64) error {
-	ns, err := r.normal.Snapshot()
+	ck := &machine.Checkpoint{Cores: r.cfg.Mig.Cores, Events: event}
+	if err := machine.CaptureCheckpoint(ck, r.cfg.Policy, r.cfg.Topology, []*machine.Machine{r.normal, r.mig}, "normal", "migration"); err != nil {
+		return err
+	}
+	ck, err := machine.RoundTripCheckpoint(ck)
 	if err != nil {
 		return err
 	}
-	ms, err := r.mig.Snapshot()
+	normal, mig, fan, err := newPair(r.cfg)
 	if err != nil {
 		return err
 	}
-	ck := &machine.Checkpoint{
-		Cores:  r.cfg.Mig.Cores,
-		Events: event,
-		Machines: []machine.NamedSnapshot{
-			{Name: "normal", Snap: ns},
-			{Name: "migration", Snap: ms},
-		},
-	}
-	if r.cfg.Policy != "" || r.cfg.Topology != "" {
-		ps, err := r.mig.PolicyState()
-		if err != nil {
-			return err
-		}
-		ck.SetExt(&machine.CheckpointExt{
-			Policy:   r.cfg.Policy,
-			Topology: r.cfg.Topology,
-			PolicyStates: []machine.NamedPolicyState{
-				{Name: "migration", State: ps},
-			},
-		})
-	}
-	ck, err = machine.RoundTripCheckpoint(ck)
-	if err != nil {
+	if err := fan.Restore(ck, "normal", "migration"); err != nil {
 		return err
-	}
-	normal, err := machine.New(r.cfg.Normal)
-	if err != nil {
-		return err
-	}
-	mig, err := machine.New(r.cfg.Mig)
-	if err != nil {
-		return err
-	}
-	rns, err := ck.Machine("normal")
-	if err != nil {
-		return err
-	}
-	if err := normal.Restore(*rns); err != nil {
-		return err
-	}
-	rms, err := ck.Machine("migration")
-	if err != nil {
-		return err
-	}
-	if err := mig.Restore(*rms); err != nil {
-		return err
-	}
-	if ext := ck.Ext(); ext != nil {
-		ps, err := ext.State("migration")
-		if err != nil {
-			return err
-		}
-		if err := mig.SetPolicyState(ps); err != nil {
-			return err
-		}
 	}
 	r.normal, r.mig = normal, mig
-	r.sink.tee.a, r.sink.tee.b = normal, mig
+	r.sink.out = fan
 	return nil
+}
+
+// newPair builds the chain's two machines behind one shared L1 stage.
+func newPair(cfg SimConfig) (normal, mig *machine.Machine, fan *machine.FanOut, err error) {
+	if normal, err = machine.New(cfg.Normal); err != nil {
+		return nil, nil, nil, err
+	}
+	if mig, err = machine.New(cfg.Mig); err != nil {
+		return nil, nil, nil, err
+	}
+	fan, err = machine.NewFanOut(normal, mig)
+	return normal, mig, fan, err
 }
 
 // runChain executes one chain: fast-forward, warmup, measure.
 func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimConfig) (res []IntervalMeasure, err error) {
-	normal, err := machine.New(cfg.Normal)
-	if err != nil {
-		return nil, err
-	}
-	mig, err := machine.New(cfg.Mig)
+	normal, mig, fan, err := newPair(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +289,7 @@ func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimC
 	}
 	run := &chainRun{cfg: cfg, intervals: intervals, measured: measured, normal: normal, mig: mig}
 	sink := &chainSink{
-		tee:    &chainTee{a: normal, b: mig},
+		out:    fan,
 		skip:   chain.SkipEvents,
 		cuts:   cutsFor(intervals, measured),
 		hook:   run.hook,

@@ -195,30 +195,12 @@ func (s *Service) resumeJob(ctx context.Context, spec RunSpec, ck *machine.Check
 	if err != nil {
 		return nil, false, err
 	}
-	ns, err := ck.Machine("normal")
+	fan, err := machine.NewFanOut(normal, mig)
 	if err != nil {
 		return nil, false, err
 	}
-	if err := normal.Restore(*ns); err != nil {
+	if err := fan.Restore(ck, "normal", "migration"); err != nil {
 		return nil, false, err
-	}
-	ms, err := ck.Machine("migration")
-	if err != nil {
-		return nil, false, err
-	}
-	if err := mig.Restore(*ms); err != nil {
-		return nil, false, err
-	}
-	// Non-Michaud policy state rides the checkpoint extension (the
-	// snapshot's Controller field stays nil for those machines).
-	if ext := ck.Ext(); ext != nil {
-		ps, err := ext.State("migration")
-		if err != nil {
-			return nil, false, err
-		}
-		if err := mig.SetPolicyState(ps); err != nil {
-			return nil, false, err
-		}
 	}
 
 	jobCtx, cancel := s.jobContext(ctx)
@@ -226,7 +208,7 @@ func (s *Service) resumeJob(ctx context.Context, spec RunSpec, ck *machine.Check
 	stop, releaseStop := runner.StopWhenDone(jobCtx)
 	defer releaseStop()
 
-	sink := &jobSink{normal: normal, mig: mig, skip: ck.Events, stop: stop}
+	sink := &jobSink{out: fan, skip: ck.Events, stop: stop}
 	interrupted, err := driveJob(spec.Workload, spec.Instr, sink)
 	if err != nil {
 		return nil, false, err

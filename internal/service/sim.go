@@ -14,28 +14,29 @@ import (
 	"repro/internal/workloads/suite"
 )
 
-// The job bodies below reproduce the emsim CLI's serial tee pass
-// exactly — same machine construction, same event numbering — which is
-// what the byte-identity e2e contract rests on: a /run response must
-// equal `emsim -json` for the same parameters, whether it was computed
-// here or served from the cache.
+// The job bodies below reproduce the emsim CLI's serial pass exactly —
+// same machine construction, same shared L1 stage, same event
+// numbering — which is what the byte-identity e2e contract rests on: a
+// /run response must equal `emsim -json` for the same parameters,
+// whether it was computed here or served from the cache.
 
 // stopJob is the panic sentinel that unwinds a workload generator when
 // the job's context ends mid-stream (generators cannot return early);
 // driveJob recovers it.
 type stopJob struct{}
 
-// jobSink tees one event stream into both machines, numbers events, and
-// aborts when the job's stop flag flips (context deadline or drain).
-// skip is the resume fast-forward: the first skip events are counted but
-// not delivered, exactly as emsim's ckptSink does it, so a recovered job
-// replays the deterministic input from the checkpointed event onward and
-// finishes byte-identical to an uninterrupted run.
+// jobSink numbers the events of one stream, delivers them to the job's
+// machines through out (a machine.FanOut), and aborts when the job's
+// stop flag flips (context deadline or drain). skip is the resume
+// fast-forward: the first skip events are counted but not delivered,
+// exactly as emsim's ckptSink does it, so a recovered job replays the
+// deterministic input from the checkpointed event onward and finishes
+// byte-identical to an uninterrupted run.
 type jobSink struct {
-	normal, mig mem.BatchSink
-	events      uint64 // events seen, including the skipped resume prefix
-	skip        uint64
-	stop        *atomic.Bool
+	out    mem.BatchSink
+	events uint64 // events seen, including the skipped resume prefix
+	skip   uint64
+	stop   *atomic.Bool
 
 	// view is the reusable sub-batch header AccessBatch delivers spans
 	// through, so skip-boundary splitting never allocates.
@@ -45,8 +46,7 @@ type jobSink struct {
 func (j *jobSink) Access(addr mem.Addr, kind mem.Kind) {
 	j.events++
 	if j.events > j.skip {
-		j.normal.Access(addr, kind)
-		j.mig.Access(addr, kind)
+		j.out.Access(addr, kind)
 	}
 	j.checkStop()
 }
@@ -54,8 +54,7 @@ func (j *jobSink) Access(addr mem.Addr, kind mem.Kind) {
 func (j *jobSink) Instr(n uint64) {
 	j.events++
 	if j.events > j.skip {
-		j.normal.Instr(n)
-		j.mig.Instr(n)
+		j.out.Instr(n)
 	}
 	j.checkStop()
 }
@@ -69,10 +68,10 @@ func (j *jobSink) checkStop() {
 
 // AccessBatch implements mem.BatchSink: the columnar delivery path of a
 // job. Only the resume fast-forward edge splits a batch — everything
-// past it streams straight into both machines' batch kernels. The stop
-// flag is checked per batch instead of per event; stops are
-// asynchronous (deadline or drain), so the only effect is that a
-// cancelled job runs on for at most one batch before spooling.
+// past it streams straight into the fan-out. The stop flag is checked
+// per batch instead of per event; stops are asynchronous (deadline or
+// drain), so the only effect is that a cancelled job runs on for at
+// most one batch before spooling.
 //
 //emlint:batchpair Access
 //emlint:batchpair Instr
@@ -89,8 +88,7 @@ func (j *jobSink) AccessBatch(b *mem.Batch) {
 		} else {
 			j.view.Addr = b.Addr[i:n]
 			j.view.Kind = b.Kind[i:n]
-			j.normal.AccessBatch(&j.view)
-			j.mig.AccessBatch(&j.view)
+			j.out.AccessBatch(&j.view)
 			j.events += uint64(n - i)
 			i = n
 		}
@@ -145,13 +143,17 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	fan, err := machine.NewFanOut(normal, mig)
+	if err != nil {
+		return nil, err
+	}
 
 	jobCtx, cancel := s.jobContext(ctx)
 	defer cancel()
 	stop, releaseStop := runner.StopWhenDone(jobCtx)
 	defer releaseStop()
 
-	sink := &jobSink{normal: normal, mig: mig, stop: stop}
+	sink := &jobSink{out: fan, stop: stop}
 	interrupted, err := driveJob(spec.Workload, spec.Instr, sink)
 	if err != nil {
 		return nil, err
@@ -250,40 +252,13 @@ func (s *Service) sampleJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 // named by the request's content address, so repeated drains of the
 // same request overwrite one spool entry instead of accumulating.
 func (s *Service) spool(spec RunSpec, normal, mig *machine.Machine, events uint64) (string, error) {
-	ns, err := normal.Snapshot()
-	if err != nil {
-		return "", err
-	}
-	ms, err := mig.Snapshot()
-	if err != nil {
-		return "", err
-	}
 	path := filepath.Join(s.cfg.SpoolDir, spec.Key()[:16]+".ckpt")
-	ck := &machine.Checkpoint{
-		Workload: spec.Workload,
-		Instr:    spec.Instr,
-		Cores:    spec.Cores,
-		Events:   events,
-		Machines: []machine.NamedSnapshot{
-			{Name: "normal", Snap: ns},
-			{Name: "migration", Snap: ms},
-		},
-	}
+	ck := &machine.Checkpoint{Workload: spec.Workload, Instr: spec.Instr, Cores: spec.Cores, Events: events}
 	// Non-default scenarios ride the optional checkpoint extension,
 	// exactly as emsim -checkpoint writes it, so recovery (and emsim
 	// -resume) rebuilds the same policy.
-	if spec.Policy != "" || spec.Topology != "" {
-		ps, err := mig.PolicyState()
-		if err != nil {
-			return "", err
-		}
-		ck.SetExt(&machine.CheckpointExt{
-			Policy:   spec.Policy,
-			Topology: spec.Topology,
-			PolicyStates: []machine.NamedPolicyState{
-				{Name: "migration", State: ps},
-			},
-		})
+	if err := machine.CaptureCheckpoint(ck, spec.Policy, spec.Topology, []*machine.Machine{normal, mig}, "normal", "migration"); err != nil {
+		return "", err
 	}
 	if err := machine.SaveCheckpoint(path, ck); err != nil {
 		return "", err
